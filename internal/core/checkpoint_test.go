@@ -124,6 +124,7 @@ func TestScheduledCheckpointResume(t *testing.T) {
 	for _, tc := range []struct{ design, point string }{
 		{"tiny_hot", "wirelength"},
 		{"tiny_hot", "route_iter:2"},
+		{"tiny_hot", "detailed"},
 		{"tiny_open", "wirelength"},
 	} {
 		tc := tc

@@ -37,16 +37,6 @@ type mlRun struct {
 	maxW     int            // resolved ClusterMaxSize (0 = no cap)
 	maps     []*cluster.Map // maps[k] coarsens level k onto level k+1
 	topLevel int            // coarsest level actually built (len(maps))
-
-	// Warm-start hand-off (Options.MLWarmStart): captured at the end of
-	// each level's phase 1 and applied at the next finer level's phase-1
-	// entry. warmBoost is the cumulative λ₁ growth (λ₁ / λ₁Init, chaining
-	// across levels), warmOverflow the clamped density overflow phase 1
-	// converged to. Serialized into checkpoints (the mlwarm record) because
-	// resume never re-runs completed coarse levels.
-	warmSet      bool
-	warmBoost    float64
-	warmOverflow float64
 }
 
 // design returns the level-k design (level 0 is the original).
@@ -156,11 +146,6 @@ func resumeMultilevel(ctx context.Context, d *netlist.Design, ck *checkpoint, me
 		levels:   ck.MLLevels,
 		maxW:     ck.MLMaxW,
 		topLevel: ck.MLTop,
-		// Resume never re-runs completed coarse levels, so the warm-start
-		// hand-off those levels produced comes from the checkpoint.
-		warmSet:      ck.MLWarmSet,
-		warmBoost:    ck.MLWarmBoost,
-		warmOverflow: ck.MLWarmOv,
 	}
 	// The hierarchy is only needed while coarse levels remain: a run
 	// checkpointed at level 0 has consumed every cluster map already.

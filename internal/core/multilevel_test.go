@@ -282,125 +282,3 @@ func TestValidateCheckpointOptsLevelPrefix(t *testing.T) {
 		}
 	}
 }
-
-// warmOpts is mlOpts with the coarse-to-fine λ₁/γ warm start enabled.
-func warmOpts(levels int) Options {
-	opt := mlOpts(levels)
-	opt.MLWarmStart = true
-	return opt
-}
-
-// warmPlaceRun is mlPlaceRun with MLWarmStart on.
-func warmPlaceRun(t *testing.T, design string, workers, levels int) (*Result, []float64, []byte) {
-	t.Helper()
-	d := synth.MustGenerate(design)
-	var trace bytes.Buffer
-	obs := telemetry.NewObserver(&trace)
-	opt := warmOpts(levels)
-	opt.Workers = workers
-	opt.Observer = obs
-	res, err := Place(d, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := obs.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	pos := make([]float64, 0, 2*len(d.Cells))
-	for i := range d.Cells {
-		pos = append(pos, d.Cells[i].X, d.Cells[i].Y)
-	}
-	canon, err := telemetry.StripTimings(trace.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res, pos, canon
-}
-
-// TestMLWarmStartShortensFineRamp: with the warm start on, the finest level
-// seeds λ₁/γ from the coarse level's converged state and stops its ramp once
-// λ₁ reaches the coarse level's growth — strictly fewer fine-level
-// wirelength iterations than the cold run on a hot design.
-func TestMLWarmStartShortensFineRamp(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full placement runs; skipped in -short")
-	}
-	coldRes, _, coldTrace := mlPlaceRun(t, "tiny_hot", 1, 2)
-	warmRes, _, warmTrace := warmPlaceRun(t, "tiny_hot", 1, 2)
-	if warmRes.WLIters >= coldRes.WLIters {
-		t.Errorf("warm start ran %d fine-level WL iters, cold ran %d — want strictly fewer",
-			warmRes.WLIters, coldRes.WLIters)
-	}
-	if !bytes.Contains(warmTrace, []byte("warm start")) {
-		t.Errorf("warm trace carries no warm-start log line")
-	}
-	if bytes.Contains(coldTrace, []byte("warm start")) {
-		t.Errorf("cold trace mentions the warm start — flag must gate all behavior")
-	}
-}
-
-// TestMLWarmStartIdenticalAcrossWorkerCounts: the warm start derives its
-// boost from deterministic coarse-level state, so placements and canonical
-// traces must stay bitwise identical across worker counts and across a
-// checkpoint/resume at the coarse/fine boundary.
-func TestMLWarmStartIdenticalAcrossWorkerCounts(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full placement runs; skipped in -short")
-	}
-	const design = "tiny_hot"
-	_, refPos, refTrace := warmPlaceRun(t, design, 1, 2)
-	for _, w := range []int{4, 16} {
-		_, pos, canon := warmPlaceRun(t, design, w, 2)
-		for i := range refPos {
-			if math.Float64bits(pos[i]) != math.Float64bits(refPos[i]) {
-				t.Fatalf("workers=%d coordinate %d differs bitwise from workers=1", w, i)
-			}
-		}
-		if !bytes.Equal(canon, refTrace) {
-			t.Fatalf("workers=%d canonical trace differs from workers=1", w)
-		}
-	}
-
-	// Resume across the coarse/fine boundary: the warm boost must ride the
-	// checkpoint (mlwarm record), not be recomputed from a re-run coarse level.
-	ckPath := filepath.Join(t.TempDir(), "warm.ckpt")
-	var buf1 bytes.Buffer
-	d := synth.MustGenerate(design)
-	opt := warmOpts(2)
-	opt.Workers = 1
-	opt.Observer = telemetry.NewObserver(&buf1)
-	opt.CheckpointPath = ckPath
-	opt.CheckpointAfter = "wirelength"
-	if _, err := Place(d, opt); !errors.Is(err, ErrCheckpointed) {
-		t.Fatalf("Place returned %v, want ErrCheckpointed", err)
-	}
-	var buf2 bytes.Buffer
-	obs2 := telemetry.NewObserver(&buf2)
-	d2 := synth.MustGenerate(design)
-	ckf, err := os.Open(ckPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = ResumeContext(context.Background(), d2, ckf, Options{Workers: 1, Observer: obs2})
-	ckf.Close()
-	if err != nil {
-		t.Fatalf("resume: %v", err)
-	}
-	if err := obs2.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	for i := range d2.Cells {
-		if math.Float64bits(d2.Cells[i].X) != math.Float64bits(refPos[2*i]) ||
-			math.Float64bits(d2.Cells[i].Y) != math.Float64bits(refPos[2*i+1]) {
-			t.Fatalf("cell %d position differs from uninterrupted warm run", i)
-		}
-	}
-	concat := append(append([]byte(nil), buf1.Bytes()...), buf2.Bytes()...)
-	canon, err := telemetry.StripTimings(concat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(canon, refTrace) {
-		t.Fatal("resumed canonical trace differs from uninterrupted warm run")
-	}
-}

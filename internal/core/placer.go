@@ -15,6 +15,10 @@ const lambda1Growth = 1.05
 // routability loop, applied only while overflow exceeds the target.
 const lambda1RouteGrowth = 1.02
 
+// phase1MinIters is the iteration floor before phase 1 may stop on the
+// density-overflow target.
+const phase1MinIters = 20
+
 // inflationStats summarizes the current inflation ratios for snapshots.
 func inflationStats(ratios []float64) (mean, max float64) {
 	if len(ratios) == 0 {

@@ -26,8 +26,6 @@ package core
 //	loop <bestc> <stall>
 //	infl <scheme> <avgprev> <t>
 //	cong <present>
-//	predict <thresh> <rows> <fits> <trained>  + vec predict.*   (only when Options.Predict)
-//	mlwarm <set> <boost> <overflow> <l1init>   (only when Options.MLWarmStart)
 //	tel <seq> <nextspanid>  + telspan / telagg / telctr / telgauge / telhist
 //	end
 //	crc <8-hex-digits>
@@ -59,7 +57,6 @@ import (
 	"repro/internal/nesterov"
 	"repro/internal/netlist"
 	"repro/internal/pgrail"
-	"repro/internal/predict"
 	"repro/internal/route"
 	"repro/internal/telemetry"
 )
@@ -148,28 +145,6 @@ type checkpoint struct {
 	// it, so resumed cache-hit/dirty-net counters continue exactly.
 	RtrPinCell []float64
 
-	// Predictor configuration and state (Options.Predict). The threshold is
-	// the post-setDefaults value; the Pred* vectors are the oracle's normal
-	// equations, weights and gate reference, present once the oracle exists
-	// (the routability loop has started). Predictor-off checkpoints serialize
-	// none of this, staying byte-identical to the pre-predictor format.
-	Predict            bool
-	PredictThreshold   float64
-	PredRows, PredFits int
-	PredTrained        bool
-	PredATA, PredATB   []float64
-	PredW, PredRef     []float64
-
-	// Multilevel warm-start hand-off (Options.MLWarmStart): the mlRun's
-	// captured coarse-level state plus the capturing level's pre-boost λ₁
-	// initialization, so a resume mid-phase-1 can still compute the boost
-	// (λ₁/λ₁Init) at stage end. Absent when the option is off.
-	MLWarm        bool
-	MLWarmSet     bool
-	MLWarmBoost   float64
-	MLWarmOv      float64
-	MLLambda1Init float64
-
 	// Telemetry continuation state (present when the run had an Observer).
 	Tel *telemetry.ObserverState
 }
@@ -227,26 +202,6 @@ func (ps *PlacementState) capture() *checkpoint {
 	if ps.grd != nil {
 		ck.GuardRetries = ps.grd.retries
 	}
-	if opt.Predict {
-		ck.Predict = true
-		ck.PredictThreshold = opt.PredictThreshold
-		if ps.orc != nil {
-			st := ps.orc.State()
-			ck.PredRows = st.Rows
-			ck.PredFits = st.Fits
-			ck.PredTrained = st.Trained
-			ck.PredATA, ck.PredATB = st.ATA, st.ATB
-			ck.PredW, ck.PredRef = st.W, st.RefPred
-		}
-	}
-	if opt.MLWarmStart {
-		ck.MLWarm = true
-		if ps.ml != nil {
-			ck.MLWarmSet = ps.ml.warmSet
-			ck.MLWarmBoost = ps.ml.warmBoost
-			ck.MLWarmOv = ps.ml.warmOverflow
-		}
-	}
 	ck.CellPos = make([]float64, 0, 2*len(d.Cells))
 	for i := range d.Cells {
 		ck.CellPos = append(ck.CellPos, d.Cells[i].X, d.Cells[i].Y)
@@ -263,7 +218,6 @@ func (ps *PlacementState) capture() *checkpoint {
 		ck.LastWLGradL1 = ps.obj.lastWLGradL1
 		ck.Nes = ps.optm.State()
 		ck.Fillers = append([]float64(nil), ps.dens.FillerPos...)
-		ck.MLLambda1Init = ps.obj.lambda1Init
 	}
 	if ck.HasGP && ps.loopReady {
 		ck.HasLoop = true
@@ -399,20 +353,6 @@ func writeCheckpointBody(bw *bytes.Buffer, ck *checkpoint) {
 			writeVec(bw, "cong.cong", ck.CongCong)
 		}
 		writeVec(bw, "rtr.pincell", ck.RtrPinCell)
-	}
-	if ck.Predict {
-		fmt.Fprintf(bw, "predict %g %d %d %s\n",
-			ck.PredictThreshold, ck.PredRows, ck.PredFits, b01(ck.PredTrained))
-		if len(ck.PredATA) > 0 {
-			writeVec(bw, "predict.ata", ck.PredATA)
-			writeVec(bw, "predict.atb", ck.PredATB)
-			writeVec(bw, "predict.w", ck.PredW)
-			writeVec(bw, "predict.ref", ck.PredRef)
-		}
-	}
-	if ck.MLWarm {
-		fmt.Fprintf(bw, "mlwarm %s %g %g %g\n",
-			b01(ck.MLWarmSet), ck.MLWarmBoost, ck.MLWarmOv, ck.MLLambda1Init)
 	}
 	if ck.Tel != nil {
 		st := ck.Tel
@@ -714,18 +654,6 @@ func parseCheckpoint(body []byte) (*checkpoint, error) {
 			ck.Infl.T = p.nextInt()
 		case "cong":
 			ck.HasCong = p.nextBool()
-		case "predict":
-			ck.Predict = true
-			ck.PredictThreshold = p.nextFloat()
-			ck.PredRows = p.nextInt()
-			ck.PredFits = p.nextInt()
-			ck.PredTrained = p.nextBool()
-		case "mlwarm":
-			ck.MLWarm = true
-			ck.MLWarmSet = p.nextBool()
-			ck.MLWarmBoost = p.nextFloat()
-			ck.MLWarmOv = p.nextFloat()
-			ck.MLLambda1Init = p.nextFloat()
 		case "tel":
 			ck.Tel = &telemetry.ObserverState{}
 			ck.Tel.Seq = p.nextI64()
@@ -837,14 +765,6 @@ func (ck *checkpoint) assignVec(name string, v []float64) error {
 		ck.CongCong = v
 	case "rtr.pincell":
 		ck.RtrPinCell = v
-	case "predict.ata":
-		ck.PredATA = v
-	case "predict.atb":
-		ck.PredATB = v
-	case "predict.w":
-		ck.PredW = v
-	case "predict.ref":
-		ck.PredRef = v
 	default:
 		return fmt.Errorf("unknown vector %q", name)
 	}
@@ -997,9 +917,6 @@ func (ck *checkpoint) mergeOptions(opt Options) (Options, error) {
 		Guard:              ck.GuardCfg,
 		Levels:             ck.MLLevels,
 		ClusterMaxSize:     ck.MLMaxW,
-		Predict:            ck.Predict,
-		PredictThreshold:   ck.PredictThreshold,
-		MLWarmStart:        ck.MLWarm,
 
 		Workers:                 opt.Workers,
 		Log:                     opt.Log,
@@ -1032,12 +949,6 @@ func (ck *checkpoint) mergeOptions(opt Options) (Options, error) {
 	if maxSize < 0 {
 		maxSize = 0
 	}
-	// PredictThreshold follows the sentinel convention (negative selects
-	// "threshold zero", serialized as 0).
-	predThresh := opt.PredictThreshold
-	if predThresh < 0 {
-		predThresh = 0
-	}
 	mismatch := ""
 	switch {
 	case opt.Mode != 0 && opt.Mode != ck.Mode:
@@ -1064,12 +975,6 @@ func (ck *checkpoint) mergeOptions(opt Options) (Options, error) {
 		mismatch = "Levels"
 	case opt.ClusterMaxSize != 0 && maxSize != ck.MLMaxW:
 		mismatch = "ClusterMaxSize"
-	case opt.Predict && !ck.Predict:
-		mismatch = "Predict"
-	case opt.PredictThreshold != 0 && predThresh != ck.PredictThreshold:
-		mismatch = "PredictThreshold"
-	case opt.MLWarmStart && !ck.MLWarm:
-		mismatch = "MLWarmStart"
 	}
 	// The checkpoint stores the post-SetDefaults guard config, so apply the
 	// same defaulting to the caller's before comparing.
@@ -1149,6 +1054,11 @@ func (ck *checkpoint) restoreInto(d *netlist.Design, opt Options, level int, ml 
 		d.Cells[i].X = ck.CellPos[2*i]
 		d.Cells[i].Y = ck.CellPos[2*i+1]
 	}
+	// HPWLFinal is not serialized: past the detailed stage the positions are
+	// final, so recompute it from them.
+	if stageIndex(ck.Cur.stage) > stageIndex("detailed") {
+		ps.Res.HPWLFinal = d.HPWL()
+	}
 
 	gpStage := ck.Cur.stage == "wirelength" || ck.Cur.stage == "routability"
 	if gpStage {
@@ -1170,7 +1080,6 @@ func (ck *checkpoint) restoreInto(d *netlist.Design, opt Options, level int, ml 
 		// One Eval per Step, so the restored eval count — which indexes the
 		// WA-gradient fault injection — is the serialized step count.
 		ps.obj.evals = ck.Nes.Steps
-		ps.obj.lambda1Init = ck.MLLambda1Init
 		if ps.grd != nil {
 			ps.grd.retries = ck.GuardRetries
 		}
@@ -1249,21 +1158,6 @@ func (ps *PlacementState) restoreLoop(ck *checkpoint) error {
 		if err := ps.rtr.RestoreDecomposition(sig); err != nil {
 			return fmt.Errorf("core: resume: %w", err)
 		}
-	}
-	if opt.Predict && len(ck.PredATA) > 0 {
-		orc := predict.New(ps.grid, len(d.Pins))
-		if err := orc.Restore(predict.State{
-			Rows:    ck.PredRows,
-			Fits:    ck.PredFits,
-			Trained: ck.PredTrained,
-			ATA:     ck.PredATA,
-			ATB:     ck.PredATB,
-			W:       ck.PredW,
-			RefPred: ck.PredRef,
-		}); err != nil {
-			return fmt.Errorf("core: resume: %w", err)
-		}
-		ps.orc = orc
 	}
 	ps.loopReady = true
 	return nil

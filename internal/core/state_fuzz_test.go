@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/synth"
@@ -75,16 +76,29 @@ func TestCheckpointMalformedInputs(t *testing.T) {
 	// Unsupported version: CRC-valid but too new — also not corruption (a
 	// .prev fallback must not mask a version skew). Rebuild the CRC so only
 	// the version line is wrong.
-	body := bytes.Replace(raw, []byte("nmckpt 2\n"), []byte("nmckpt 99\n"), 1)
-	body = body[:bytes.LastIndex(body, []byte("crc "))]
-	var vbuf bytes.Buffer
-	vbuf.Write(body)
-	fmt.Fprintf(&vbuf, "crc %08x\n", crc32.ChecksumIEEE(body))
-	if _, err := readCheckpoint(bytes.NewReader(vbuf.Bytes())); err == nil {
+	if _, err := readCheckpoint(bytes.NewReader(reCRC(raw, "nmckpt 2\n", "nmckpt 99\n"))); err == nil {
 		t.Error("version 99 checkpoint accepted")
 	} else if errors.Is(err, ErrCheckpointCorrupt) {
 		t.Errorf("unsupported version misclassified as corruption: %v", err)
 	}
+
+	// A record the reader does not know (such as one a removed option used
+	// to write) is rejected even under a valid CRC.
+	_, err = readCheckpoint(bytes.NewReader(reCRC(raw, "\nend\n", "\nretired 1 0.5\nend\n")))
+	if !errors.Is(err, ErrCheckpointCorrupt) || !strings.Contains(err.Error(), `unknown record "retired"`) {
+		t.Errorf("unknown record: got %v, want ErrCheckpointCorrupt naming the record", err)
+	}
+}
+
+// reCRC replaces the first old with new in a checkpoint file and rewrites
+// the CRC footer to match the edited body.
+func reCRC(raw []byte, old, new string) []byte {
+	body := bytes.Replace(raw, []byte(old), []byte(new), 1)
+	body = body[:bytes.LastIndex(body, []byte("crc "))]
+	var buf bytes.Buffer
+	buf.Write(body)
+	fmt.Fprintf(&buf, "crc %08x\n", crc32.ChecksumIEEE(body))
+	return buf.Bytes()
 }
 
 // FuzzReadCheckpoint: the parser must never panic on arbitrary bytes, and

@@ -59,7 +59,7 @@ func tracedRun(t *testing.T, logSink *strings.Builder) (*Result, []byte, []telem
 
 func TestTraceDeterministic(t *testing.T) {
 	// Two identical runs must produce byte-identical canonical traces
-	// (wall-clock content stripped) and identical metrics.
+	// (wall-clock content stripped) and identical deterministic metrics.
 	_, trace1, met1 := tracedRun(t, nil)
 	_, trace2, met2 := tracedRun(t, nil)
 
@@ -82,11 +82,25 @@ func TestTraceDeterministic(t *testing.T) {
 		t.Fatalf("canonical traces differ in length: %d vs %d lines", len(a), len(b))
 	}
 
-	j1, _ := json.Marshal(met1)
-	j2, _ := json.Marshal(met2)
+	// Volatile metrics (worker counts, measured speedups) depend on the host
+	// and are outside the determinism contract (DESIGN.md §6); every other
+	// metric must match exactly.
+	j1, _ := json.Marshal(deterministicMetrics(met1))
+	j2, _ := json.Marshal(deterministicMetrics(met2))
 	if !bytes.Equal(j1, j2) {
 		t.Errorf("metrics snapshots differ:\n%s\nvs\n%s", j1, j2)
 	}
+}
+
+// deterministicMetrics drops the volatile entries of a metrics snapshot.
+func deterministicMetrics(ms []telemetry.Metric) []telemetry.Metric {
+	var out []telemetry.Metric
+	for _, m := range ms {
+		if !m.Volatile {
+			out = append(out, m)
+		}
+	}
+	return out
 }
 
 func TestTraceSpansCoverPlaceTime(t *testing.T) {
