@@ -374,6 +374,33 @@ func BenchmarkParallelWirelength(b *testing.B) {
 	}
 }
 
+// BenchmarkParallelCongestion measures the net-moving congestion gradient
+// (Algorithms 1–2: cell pass, net pass, cell gather) on a routed
+// superblue-family design at several worker counts.
+func BenchmarkParallelCongestion(b *testing.B) {
+	d, err := synth.Generate("superblue11_a")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := route.NewGrid(d, core.DefaultGridHint(len(d.Cells)))
+	res := route.NewRouter(d, g).Route()
+	for _, w := range benchWorkerCounts {
+		b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) {
+			m := congestion.New(d, g)
+			m.Workers = w
+			m.Update(res)
+			grad := make([]float64, 2*len(d.Cells))
+			b.ResetTimer()
+			var virt int
+			for i := 0; i < b.N; i++ {
+				clear(grad)
+				virt = m.Gradients(grad).VirtualCells
+			}
+			b.ReportMetric(float64(virt), "virtual-cells")
+		})
+	}
+}
+
 // BenchmarkParallelDensity measures the bin-parallel rasterization + Poisson
 // solve (density.Compute) at several worker counts.
 func BenchmarkParallelDensity(b *testing.B) {

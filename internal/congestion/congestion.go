@@ -40,8 +40,9 @@ type Model struct {
 	// virtual cell is placed at the segment midpoint instead of the
 	// maximum-congestion candidate.
 	VirtualAtMidpoint bool
-	// Workers caps the goroutines of the embedded Poisson solve; 0 selects
-	// runtime.NumCPU(). Any setting produces bitwise-identical fields.
+	// Workers caps the goroutines of the embedded Poisson solve and of the
+	// gradient passes; 0 selects runtime.NumCPU(). Any setting produces
+	// bitwise-identical fields and gradients.
 	Workers int
 
 	d *netlist.Design
@@ -58,7 +59,19 @@ type Model struct {
 
 	// virtual cell bookkeeping from the last Gradients call, reused by
 	// Penalty so V' matches the gradients.
-	virtX, virtY []float64
+	virt []geom.Point
+
+	// Gradient pass scratch: per-cell multi-pin force A·E (cellF, hot
+	// marks the cells Algorithm 2 selects), per-slot two-pin terms, and
+	// per-shard virtual cells and counters.
+	pins      *netlist.PinIndex
+	cellF     []float64
+	hot       []bool
+	pinF      []float64
+	shardVirt [parallel.NumShards][]geom.Point
+	shardN    [parallel.NumShards]Stats
+
+	stats parallel.Timing
 }
 
 // Stats summarizes one gradient assembly pass.
@@ -85,7 +98,11 @@ func New(d *netlist.Design, g *route.Grid) *Model {
 		solver:        solver,
 		rho:           make([]float64, g.NX*g.NY),
 		avgPins:       d.AvgPinsPerCell(),
+		pins:          netlist.NewPinIndex(d),
+		cellF:         make([]float64, 2*len(d.Cells)),
+		hot:           make([]bool, len(d.Cells)),
 	}
+	m.pinF = make([]float64, 2*m.pins.NetStart[len(d.Nets)])
 	m.field = m.solver.NewGrid()
 	var area float64
 	var n int
@@ -114,6 +131,10 @@ func (m *Model) Update(res *route.Result) {
 	m.solver.Workers = m.Workers
 	m.solver.Solve(m.rho, m.field)
 }
+
+// Stats returns the accumulated wall/busy time of the gradient passes
+// (telemetry: the parallel.congestion speedup gauge).
+func (m *Model) Stats() parallel.Timing { return m.stats }
 
 // SolverStats returns the timing of the embedded Poisson solver's parallel
 // sections (telemetry: the parallel.poisson speedup gauge).
@@ -227,6 +248,13 @@ func (m *Model) VirtualCell(p1, p2 geom.Point) (pos geom.Point, ok bool) {
 // into grad (layout [gx0,gy0,...], length 2·len(Cells)); callers zero the
 // buffer first ("initially, we set the congestion gradient of all cells to
 // 0"). Returns assembly statistics. Update must have been called.
+//
+// The assembly is the serial loop "for each net of degree ≥ 2: its two-pin
+// terms (pin 0, then pin 1), then the multi-pin force of each pin's cell",
+// run as three parallel passes: per cell, the multi-pin force; per net,
+// the two-pin terms and virtual cells; per cell, a gather that subtracts
+// the cell's terms in that serial order. The gradient, the statistics and
+// the virtual-cell order are therefore byte-identical for any Workers.
 func (m *Model) Gradients(grad []float64) Stats {
 	if m.res == nil {
 		panic("congestion: Gradients before Update")
@@ -234,66 +262,106 @@ func (m *Model) Gradients(grad []float64) Stats {
 	if len(grad) != 2*len(m.d.Cells) {
 		panic("congestion: gradient length mismatch")
 	}
-	var st Stats
-	m.virtX = m.virtX[:0]
-	m.virtY = m.virtY[:0]
-
-	for e := range m.d.Nets {
-		net := &m.d.Nets[e]
-		deg := net.Degree()
-		if deg < 2 {
-			continue
-		}
-		// Algorithm 1: two-pin net moving.
-		if deg == 2 {
-			m.twoPinGradient(net, grad, &st)
-		}
-		// Algorithm 2 lines 7–15: multi-pin cell forces, per net.
-		for _, pi := range net.Pins {
-			ci := m.d.Pins[pi].Cell
-			c := &m.d.Cells[ci]
-			if !c.Movable() || float64(c.NumPins) <= m.avgPins {
+	d := m.d
+	m.shardN = [parallel.NumShards]Stats{}
+	m.stats.Add(parallel.For(m.Workers, len(d.Cells), func(shard, lo, hi int) {
+		st := &m.shardN[shard]
+		for ci := lo; ci < hi; ci++ {
+			c := &d.Cells[ci]
+			m.hot[ci] = false
+			if !c.Movable() {
 				continue
 			}
-			if m.congestionAtPoint(c.X, c.Y) <= m.UtilThreshold {
+			cong := m.congestionAtPoint(c.X, c.Y)
+			if cong > 0 {
+				st.CongestedCell++
+			}
+			if float64(c.NumPins) <= m.avgPins || cong <= m.UtilThreshold {
 				continue
 			}
+			// Algorithm 2 lines 7–15: force A·E pushes away from
+			// congestion; the gradient of the penalty is its negation.
 			ex, ey := m.FieldAt(c.X, c.Y)
 			a := c.Area()
-			// Force A·E pushes away from congestion; the gradient of the
-			// penalty is its negation.
-			grad[2*ci] -= a * ex
-			grad[2*ci+1] -= a * ey
-			st.MultiPinHits++
+			m.cellF[2*ci], m.cellF[2*ci+1] = a*ex, a*ey
+			m.hot[ci] = true
 		}
-	}
+	}))
+	// Algorithm 1: two-pin net moving.
+	m.stats.Add(parallel.For(m.Workers, len(d.Nets), func(shard, lo, hi int) {
+		m.shardVirt[shard] = m.shardVirt[shard][:0]
+		for e := lo; e < hi; e++ {
+			if d.Nets[e].Degree() == 2 {
+				m.twoPinGradient(e, shard)
+			}
+		}
+	}))
+	m.stats.Add(parallel.For(m.Workers, len(d.Cells), func(shard, lo, hi int) {
+		m.shardN[shard].MultiPinHits = m.gather(grad, lo, hi)
+	}))
 
-	// Stats for Eq. 10.
-	for ci := range m.d.Cells {
-		c := &m.d.Cells[ci]
-		if !c.Movable() {
-			continue
+	var st Stats
+	m.virt = m.virt[:0]
+	for s := range m.shardN {
+		st.CongestedCell += m.shardN[s].CongestedCell
+		st.MultiPinHits += m.shardN[s].MultiPinHits
+		m.virt = append(m.virt, m.shardVirt[s]...)
+	}
+	st.VirtualCells = len(m.virt)
+	for ci := range d.Cells {
+		if d.Cells[ci].Movable() {
+			st.GradL1 += math.Abs(grad[2*ci]) + math.Abs(grad[2*ci+1])
 		}
-		if m.congestionAtPoint(c.X, c.Y) > 0 {
-			st.CongestedCell++
-		}
-		st.GradL1 += math.Abs(grad[2*ci]) + math.Abs(grad[2*ci+1])
 	}
 	return st
 }
 
-// twoPinGradient is Algorithm 1: create the virtual cell, project its field
-// force on the segment normal, and lever it onto the two cells.
-func (m *Model) twoPinGradient(net *netlist.Net, grad []float64, st *Stats) {
+// gather subtracts the terms of cells [lo, hi) from grad in the serial
+// order — per net, the two-pin terms and then the multi-pin force once per
+// pin — and returns the number of multi-pin force applications. Slots of
+// nets without a two-pin term hold zero, and x − (+0) == x for every x.
+func (m *Model) gather(grad []float64, lo, hi int) (hits int) {
+	x := m.pins
+	for ci := lo; ci < hi; ci++ {
+		gx, gy := grad[2*ci], grad[2*ci+1]
+		fx, fy := m.cellF[2*ci], m.cellF[2*ci+1]
+		hot := m.hot[ci]
+		for j, end := x.CellStart[ci], x.CellStart[ci+1]; j < end; {
+			e, first := x.Net[j], j
+			for ; j < end && x.Net[j] == e; j++ {
+				k := 2 * x.Slot[j]
+				gx -= m.pinF[k]
+				gy -= m.pinF[k+1]
+			}
+			if hot {
+				for r := first; r < j; r++ {
+					gx -= fx
+					gy -= fy
+				}
+				hits += int(j - first)
+			}
+		}
+		grad[2*ci], grad[2*ci+1] = gx, gy
+	}
+	return hits
+}
+
+// twoPinGradient is Algorithm 1 for two-pin net e: create the virtual cell,
+// project its field force on the segment normal, and lever it onto the two
+// cells. Each pin's term lands in its slot (zero when the net is not moved
+// or the pin's cell is fixed) and the virtual cell in the shard's list.
+func (m *Model) twoPinGradient(e, shard int) {
+	net := &m.d.Nets[e]
+	s0 := int(m.pins.NetStart[e])
+	out := m.pinF[2*s0 : 2*s0+4]
+	clear(out)
 	p1 := m.d.PinPos(net.Pins[0])
 	p2 := m.d.PinPos(net.Pins[1])
 	v, ok := m.VirtualCell(p1, p2)
 	if !ok {
 		return
 	}
-	st.VirtualCells++
-	m.virtX = append(m.virtX, v.X)
-	m.virtY = append(m.virtY, v.Y)
+	m.shardVirt[shard] = append(m.shardVirt[shard], v)
 
 	ex, ey := m.FieldAt(v.X, v.Y)
 	fv := geom.Point{X: m.stdArea * ex, Y: m.stdArea * ey} // ∇C_cv as a force
@@ -310,13 +378,8 @@ func (m *Model) twoPinGradient(net *netlist.Net, grad []float64, st *Stats) {
 	// Projection ∇C⊥ (Fig. 3b).
 	fperp := n.Scale(fv.Dot(n))
 
-	for idx, pi := range []int{net.Pins[0], net.Pins[1]} {
-		p := p1
-		if idx == 1 {
-			p = p2
-		}
-		ci := m.d.Pins[pi].Cell
-		if !m.d.Cells[ci].Movable() {
+	for idx, p := range [2]geom.Point{p1, p2} {
+		if !m.d.Cells[m.d.Pins[net.Pins[idx]].Cell].Movable() {
 			continue
 		}
 		div := p.Dist(v)
@@ -324,8 +387,7 @@ func (m *Model) twoPinGradient(net *netlist.Net, grad []float64, st *Stats) {
 		if div > 0 {
 			factor = math.Min(L/(2*div), m.MaxLeverage)
 		}
-		grad[2*ci] -= factor * fperp.X
-		grad[2*ci+1] -= factor * fperp.Y
+		out[2*idx], out[2*idx+1] = factor*fperp.X, factor*fperp.Y
 	}
 }
 
@@ -344,8 +406,8 @@ func (m *Model) Penalty() float64 {
 		}
 		sum += c.Area() * m.PotentialAt(c.X, c.Y)
 	}
-	for i := range m.virtX {
-		sum += m.stdArea * m.PotentialAt(m.virtX[i], m.virtY[i])
+	for _, v := range m.virt {
+		sum += m.stdArea * m.PotentialAt(v.X, v.Y)
 	}
 	return sum / 2
 }

@@ -449,6 +449,9 @@ func (ps *PlacementState) finishTelemetry() {
 	if ps.wl != nil {
 		obs.VolatileGauge("parallel.wirelength.speedup").Set(ps.wl.Stats().Speedup())
 	}
+	if ps.cong != nil {
+		obs.VolatileGauge("parallel.congestion.speedup").Set(ps.cong.Stats().Speedup())
+	}
 	if ps.dens != nil {
 		obs.VolatileGauge("parallel.density.speedup").Set(ps.dens.Stats().Speedup())
 		pstats := ps.dens.SolverStats()

@@ -73,14 +73,33 @@ func TestDensityBitwiseIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
+// newShards allocates NumShards accumulator slices of length n each.
+func newShards(n int) [][]float64 {
+	out := make([][]float64, parallel.NumShards)
+	for i := range out {
+		out[i] = make([]float64, n)
+	}
+	return out
+}
+
+// mergeFloats adds every shard slice into dst elementwise, in ascending
+// shard order.
+func mergeFloats(dst []float64, shards [][]float64) {
+	for _, sh := range shards {
+		for i, v := range sh {
+			dst[i] += v
+		}
+	}
+}
+
 // referenceRho rasterizes the model's current state with the historical
 // flat algorithm — full-grid per-shard buffers merged in ascending shard
 // order — and returns the normalized charge grid and movable-area map.
 // The tiled Compute must reproduce it bit for bit.
 func referenceRho(m *Model) (rho, mov []float64) {
 	n := m.NX * m.NY
-	shardRho := parallel.NewShards(n)
-	shardMov := parallel.NewShards(n)
+	shardRho := newShards(n)
+	shardMov := newShards(n)
 	for s := 0; s < parallel.NumShards; s++ {
 		lo, hi := parallel.Range(s, len(m.d.Cells))
 		for ci := lo; ci < hi; ci++ {
@@ -108,9 +127,9 @@ func referenceRho(m *Model) (rho, mov []float64) {
 	}
 	rho = make([]float64, n)
 	copy(rho, m.fixedRho)
-	parallel.MergeFloats(rho, shardRho)
+	mergeFloats(rho, shardRho)
 	mov = make([]float64, n)
-	parallel.MergeFloats(mov, shardMov)
+	mergeFloats(mov, shardMov)
 	for i := range rho {
 		rho[i] += m.pgRho[i]
 	}

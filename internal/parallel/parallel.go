@@ -8,15 +8,18 @@
 //  1. Work is split into exactly NumShards contiguous chunks whose
 //     boundaries depend only on the item count, never on the worker count
 //     or on runtime scheduling. Each shard is executed exactly once.
-//  2. A kernel that reduces (sums demand maps, scatter-adds gradients,
-//     accumulates totals) writes into shard-private state, and the caller
-//     merges the shards in ascending shard-index order after For returns.
-//     The floating-point summation tree is therefore a pure function of
-//     the input size: Workers=1 and Workers=N walk the identical tree.
+//  2. A kernel that reduces (sums demand maps, accumulates totals) writes
+//     into shard-private state, and the caller merges the shards in
+//     ascending shard-index order after For returns. The floating-point
+//     summation tree is therefore a pure function of the input size:
+//     Workers=1 and Workers=N walk the identical tree.
 //
 // Kernels whose writes are disjoint per item (one output row per input
-// row, one gradient slot per cell) need no shard state at all and are
-// bitwise-identical to a plain serial loop by construction.
+// row, one gradient slot per pin or per cell) need no shard state at all
+// and are bitwise-identical to a plain serial loop by construction. A
+// gradient that a net-parallel pass would scatter-add into cells is
+// instead written per pin and gathered per cell in a second pass that
+// adds the terms in the order the reduction tree prescribes.
 //
 // Workers=1 never spawns a goroutine: the shards run inline, in order, on
 // the calling goroutine — serial execution with the same summation tree.
@@ -163,37 +166,6 @@ func ForCtx(ctx context.Context, workers, n int, fn func(shard, start, end int))
 		return t, ctx.Err()
 	}
 	return t, nil
-}
-
-// MergeFloats adds every shard slice into dst elementwise, in ascending
-// shard order — the canonical deterministic reduction of scatter-add
-// kernels. All slices must have len(dst).
-func MergeFloats(dst []float64, shards [][]float64) {
-	for _, sh := range shards {
-		for i, v := range sh {
-			dst[i] += v
-		}
-	}
-}
-
-// ZeroFloats zeroes every shard slice (the per-evaluation reset of shard
-// accumulators).
-func ZeroFloats(shards [][]float64) {
-	for _, sh := range shards {
-		for i := range sh {
-			sh[i] = 0
-		}
-	}
-}
-
-// NewShards allocates NumShards slices of length n each (shard-private
-// accumulator buffers).
-func NewShards(n int) [][]float64 {
-	out := make([][]float64, NumShards)
-	for i := range out {
-		out[i] = make([]float64, n)
-	}
-	return out
 }
 
 // SumShards folds per-shard partial sums in ascending shard order.

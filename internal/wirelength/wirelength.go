@@ -3,10 +3,13 @@
 // placement objective (paper Sec. II-A), together with its analytic gradient
 // and the overflow-driven smoothing-parameter (γ) schedule of ePlace.
 //
-// Evaluation is net-parallel over the internal/parallel shard layer: each
-// shard accumulates its nets' WA total and scatter-adds gradients into a
-// shard-private buffer, and the shards are merged in fixed index order —
-// so the result is byte-identical for every worker count.
+// Evaluation runs in two passes over the internal/parallel shard layer. A
+// net-parallel pass computes each net's WA length and writes every pin's
+// weighted gradient term into its own slot; the per-shard totals are folded
+// in shard order. A cell-parallel pass then gathers each cell's slots
+// (netlist.PinIndex) into the cell's gradient, summing them shard by shard
+// in net order. Both passes walk a summation tree that depends only on the
+// design, so the result is byte-identical for every worker count.
 package wirelength
 
 import (
@@ -26,14 +29,20 @@ type Model struct {
 
 	d     *netlist.Design
 	gamma float64
+	pins  *netlist.PinIndex
 
-	// Per-shard state: gradient accumulators (merged in shard order) and
-	// exponential scratch sized to the max net degree.
-	shardGrad [][]float64
-	shardEx   [parallel.NumShards][]float64
-	shardEn   [parallel.NumShards][]float64
+	// pinGrad holds each net pin's weighted gradient term, [gx, gy] per
+	// PinIndex slot, written by the net pass and read by the cell gather.
+	pinGrad []float64
+	// Per-shard exponential scratch sized to the max net degree.
+	shard [parallel.NumShards]netScratch
 
 	stats parallel.Timing
+}
+
+// netScratch holds one net's pin coordinates and shifted exponentials.
+type netScratch struct {
+	x, y, ep, en []float64
 }
 
 // New creates a WA model with an initial γ proportional to the given
@@ -45,11 +54,20 @@ func New(d *netlist.Design, gamma float64) *Model {
 			maxDeg = deg
 		}
 	}
-	m := &Model{d: d, gamma: gamma}
-	m.shardGrad = parallel.NewShards(2 * len(d.Cells))
-	for s := 0; s < parallel.NumShards; s++ {
-		m.shardEx[s] = make([]float64, maxDeg)
-		m.shardEn[s] = make([]float64, maxDeg)
+	pins := netlist.NewPinIndex(d)
+	m := &Model{
+		d:       d,
+		gamma:   gamma,
+		pins:    pins,
+		pinGrad: make([]float64, 2*pins.NetStart[len(d.Nets)]),
+	}
+	for s := range m.shard {
+		m.shard[s] = netScratch{
+			x:  make([]float64, maxDeg),
+			y:  make([]float64, maxDeg),
+			ep: make([]float64, maxDeg),
+			en: make([]float64, maxDeg),
+		}
 	}
 	return m
 }
@@ -60,8 +78,8 @@ func (m *Model) Gamma() float64 { return m.gamma }
 // SetGamma overrides the smoothing parameter directly.
 func (m *Model) SetGamma(g float64) { m.gamma = g }
 
-// Stats returns the accumulated wall/busy time of the net-parallel
-// evaluations (telemetry: the parallel.wirelength speedup gauge).
+// Stats returns the accumulated wall/busy time of the parallel passes
+// (telemetry: the parallel.wirelength speedup gauge).
 func (m *Model) Stats() parallel.Timing { return m.stats }
 
 // UpdateGamma applies the ePlace overflow schedule: γ = base·10^(k·ovf + b)
@@ -82,72 +100,81 @@ func (m *Model) UpdateGamma(base, overflow float64) {
 // zero the slice when they need a fresh gradient); entries for fixed cells
 // are accumulated too and it is the caller's choice to ignore them.
 //
-// Nets are processed shard-parallel; per-cell contributions land in the
-// fixed net-index order regardless of the worker count.
+// Each cell's gradient is grad + S₀ + … + S₁₅, where S_s is the net-order
+// sum of the cell's terms from nets in shard s: the fixed tree of a
+// per-shard scatter-add merged in shard order, for any worker count.
 func (m *Model) EvaluateWithGrad(grad []float64) float64 {
 	d := m.d
 	if grad != nil && len(grad) != 2*len(d.Cells) {
 		panic("wirelength: gradient length mismatch")
 	}
-	if grad != nil {
-		parallel.ZeroFloats(m.shardGrad)
-	}
 	var parts [parallel.NumShards]float64
 	m.stats.Add(parallel.For(m.Workers, len(d.Nets), func(shard, lo, hi int) {
-		var sg []float64
-		if grad != nil {
-			sg = m.shardGrad[shard]
-		}
-		coords := m.shardEx[shard]
-		expP := m.shardEn[shard]
+		sc := &m.shard[shard]
 		var total float64
 		for e := lo; e < hi; e++ {
 			net := &d.Nets[e]
-			if net.Degree() < 2 {
+			n := net.Degree()
+			if n < 2 {
 				continue
 			}
 			w := net.Weight
 			if w == 0 {
 				w = 1
 			}
-			total += w * m.netWA(net, sg, w, axisX, coords, expP)
-			total += w * m.netWA(net, sg, w, axisY, coords, expP)
+			xs, ys := sc.x[:n], sc.y[:n]
+			for k, pi := range net.Pins {
+				p := d.PinPos(pi)
+				xs[k], ys[k] = p.X, p.Y
+			}
+			var slots []float64
+			if grad != nil {
+				s0 := int(m.pins.NetStart[e])
+				slots = m.pinGrad[2*s0 : 2*(s0+n)]
+			}
+			total += w * m.axisWA(xs, sc, slots, 0, w)
+			total += w * m.axisWA(ys, sc, slots, 1, w)
 		}
 		parts[shard] = total
 	}))
 	if grad != nil {
-		parallel.MergeFloats(grad, m.shardGrad)
+		m.stats.Add(parallel.For(m.Workers, len(d.Cells), func(_, lo, hi int) {
+			m.gather(grad, lo, hi)
+		}))
 	}
 	return parallel.SumShards(&parts)
+}
+
+// gather adds the slot terms of cells [lo, hi) into grad, shard by shard.
+func (m *Model) gather(grad []float64, lo, hi int) {
+	x := m.pins
+	for ci := lo; ci < hi; ci++ {
+		// +0 maps a −0 entry to +0, as the sixteen shard additions it
+		// stands in for would; every other value passes unchanged.
+		gx, gy := grad[2*ci]+0, grad[2*ci+1]+0
+		for j, end := x.CellStart[ci], x.CellStart[ci+1]; j < end; {
+			s := x.Shard[j]
+			var sx, sy float64
+			for ; j < end && x.Shard[j] == s; j++ {
+				k := 2 * x.Slot[j]
+				sx += m.pinGrad[k]
+				sy += m.pinGrad[k+1]
+			}
+			gx += sx
+			gy += sy
+		}
+		grad[2*ci], grad[2*ci+1] = gx, gy
+	}
 }
 
 // Evaluate returns the total WA wirelength without gradients.
 func (m *Model) Evaluate() float64 { return m.EvaluateWithGrad(nil) }
 
-type axis int
-
-const (
-	axisX axis = iota
-	axisY
-)
-
-// netWA computes the WA length of one net along one axis and accumulates the
-// (weighted) gradient into grad (shard-private; nil skips gradients). The
-// max/min-shifted exponentials keep the computation stable for any
-// coordinate magnitude. coords and expP are caller-provided scratch sized
-// to at least the net degree.
-func (m *Model) netWA(net *netlist.Net, grad []float64, w float64, ax axis, coords, expP []float64) float64 {
-	d := m.d
-	n := len(net.Pins)
-	coords = coords[:n]
-	for k, pi := range net.Pins {
-		p := d.PinPos(pi)
-		if ax == axisX {
-			coords[k] = p.X
-		} else {
-			coords[k] = p.Y
-		}
-	}
+// axisWA computes the WA length of one net along one axis from its pin
+// coordinates, and writes pin k's weighted gradient term to out[2k+ax]
+// (nil skips gradients). The max/min-shifted exponentials keep the computation
+// stable for any coordinate magnitude.
+func (m *Model) axisWA(coords []float64, sc *netScratch, out []float64, ax int, w float64) float64 {
 	lo, hi := coords[0], coords[0]
 	for _, c := range coords[1:] {
 		if c < lo {
@@ -160,12 +187,12 @@ func (m *Model) netWA(net *netlist.Net, grad []float64, w float64, ax axis, coor
 	g := m.gamma
 	// Positive side (max approximation), shifted by hi.
 	// Negative side (min approximation), shifted by lo.
-	expP = expP[:n]
+	expP, expN := sc.ep[:len(coords)], sc.en[:len(coords)]
 	var sP, sxP, sN, sxN float64
 	for k, c := range coords {
 		ep := math.Exp((c - hi) / g)
 		en := math.Exp((lo - c) / g)
-		expP[k] = ep // store positive exp; negative recomputed below (cheap)
+		expP[k], expN[k] = ep, en
 		sP += ep
 		sxP += c * ep
 		sN += en
@@ -173,27 +200,17 @@ func (m *Model) netWA(net *netlist.Net, grad []float64, w float64, ax axis, coor
 	}
 	waMax := sxP / sP
 	waMin := sxN / sN
-	length := waMax - waMin
 
-	if grad != nil {
-		for k, pi := range net.Pins {
-			c := coords[k]
-			ep := expP[k]
-			en := math.Exp((lo - c) / g)
+	if out != nil {
+		for k, c := range coords {
 			// d(waMax)/dc_k = ep·((1 + c/g)·sP − sxP/g)/sP²
 			// d(waMin)/dc_k = en·((1 − c/g)·sN + sxN/g)/sN²
-			dMax := ep * ((1+c/g)*sP - sxP/g) / (sP * sP)
-			dMin := en * ((1-c/g)*sN + sxN/g) / (sN * sN)
-			gv := w * (dMax - dMin)
-			ci := d.Pins[pi].Cell
-			if ax == axisX {
-				grad[2*ci] += gv
-			} else {
-				grad[2*ci+1] += gv
-			}
+			dMax := expP[k] * ((1+c/g)*sP - sxP/g) / (sP * sP)
+			dMin := expN[k] * ((1-c/g)*sN + sxN/g) / (sN * sN)
+			out[2*k+ax] = w * (dMax - dMin)
 		}
 	}
-	return length
+	return waMax - waMin
 }
 
 // GradL1 returns the L1 norm of a gradient vector restricted to movable
