@@ -25,6 +25,7 @@ import (
 	"repro/internal/congestion"
 	"repro/internal/core"
 	"repro/internal/density"
+	"repro/internal/parallel"
 	"repro/internal/poisson"
 	"repro/internal/route"
 	"repro/internal/synth"
@@ -346,31 +347,69 @@ func BenchmarkAblationInflationScheme(b *testing.B) {
 }
 
 // benchWorkerCounts are the per-kernel scaling points of the parallel
-// benchmarks. On a single-core machine every count measures the same work
-// plus goroutine overhead; compare w1 vs w4 ns/op on a multi-core runner
-// (the CI bench job) for the real speedup.
+// benchmarks. A call never uses more than GOMAXPROCS goroutines, so on a
+// single-core machine every count runs the same inline loop; compare w1 vs
+// w4 ns/op on a multi-core runner (the CI bench job) for the real speedup.
 var benchWorkerCounts = []int{1, 2, 4, 8}
 
-// BenchmarkParallelWirelength measures the net-parallel WA gradient on a
-// superblue-family design at several worker counts (serial baseline = w1).
-func BenchmarkParallelWirelength(b *testing.B) {
-	d, err := synth.Generate("superblue11_a")
-	if err != nil {
-		b.Fatal(err)
+// benchScalingDesigns are the designs of the wirelength and density
+// scaling benchmarks: a superblue-family design, and des_perf_1 (64×64
+// bins), one of the small Table I designs whose kernels last about a
+// millisecond, where the per-call cost of going parallel shows.
+var benchScalingDesigns = []string{"superblue11_a", "des_perf_1"}
+
+// BenchmarkParallelFor measures the per-call cost of parallel.For itself:
+// an empty kernel, and a 4k-item sharded sum, at several worker counts.
+func BenchmarkParallelFor(b *testing.B) {
+	vals := make([]float64, 4096)
+	for i := range vals {
+		vals[i] = math.Sin(float64(i))
 	}
-	for _, w := range benchWorkerCounts {
-		b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) {
-			m := wirelength.New(d, 10)
-			m.Workers = w
-			grad := make([]float64, 2*len(d.Cells))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for j := range grad {
-					grad[j] = 0
-				}
-				m.EvaluateWithGrad(grad)
+	var parts [parallel.NumShards]float64
+	kernels := []struct {
+		name string
+		fn   func(shard, lo, hi int)
+	}{
+		{"empty", func(_, _, _ int) {}},
+		{"sum4k", func(shard, lo, hi int) {
+			var s float64
+			for _, v := range vals[lo:hi] {
+				s += v
 			}
-		})
+			parts[shard] = s
+		}},
+	}
+	for _, k := range kernels {
+		for _, w := range []int{1, 2, 4} {
+			b.Run(fmt.Sprintf("%s/w%d", k.name, w), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					parallel.For(w, len(vals), k.fn)
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkParallelWirelength measures the net-parallel WA gradient at
+// several worker counts (serial baseline = w1).
+func BenchmarkParallelWirelength(b *testing.B) {
+	for _, name := range benchScalingDesigns {
+		d, err := synth.Generate(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, w := range benchWorkerCounts {
+			b.Run(fmt.Sprintf("%s/w%d", name, w), func(b *testing.B) {
+				m := wirelength.New(d, 10)
+				m.Workers = w
+				grad := make([]float64, 2*len(d.Cells))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					clear(grad)
+					m.EvaluateWithGrad(grad)
+				}
+			})
+		}
 	}
 }
 
@@ -404,19 +443,21 @@ func BenchmarkParallelCongestion(b *testing.B) {
 // BenchmarkParallelDensity measures the bin-parallel rasterization + Poisson
 // solve (density.Compute) at several worker counts.
 func BenchmarkParallelDensity(b *testing.B) {
-	d, err := synth.Generate("superblue11_a")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, w := range benchWorkerCounts {
-		b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) {
-			m := density.New(d, core.DefaultGridHint(len(d.Cells)))
-			m.Workers = w
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.Compute()
-			}
-		})
+	for _, name := range benchScalingDesigns {
+		d, err := synth.Generate(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, w := range benchWorkerCounts {
+			b.Run(fmt.Sprintf("%s/w%d", name, w), func(b *testing.B) {
+				m := density.New(d, core.DefaultGridHint(len(d.Cells)))
+				m.Workers = w
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					m.Compute()
+				}
+			})
+		}
 	}
 }
 

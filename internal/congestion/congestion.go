@@ -54,6 +54,7 @@ type Model struct {
 
 	stdArea float64 // virtual cell area: the average movable cell footprint
 	avgPins float64 // n̄ of Algorithm 2
+	movable int     // N of Eq. 10: the movable cell count
 
 	res *route.Result // last routing result fed to Update
 
@@ -112,6 +113,7 @@ func New(d *netlist.Design, g *route.Grid) *Model {
 			n++
 		}
 	}
+	m.movable = n
 	if n > 0 {
 		m.stdArea = area / float64(n)
 	} else {
@@ -419,14 +421,8 @@ func (m *Model) Penalty() float64 {
 // wlGradL1 is ‖∇W‖₁ over movable cells; st is the Stats from the matching
 // Gradients call. A zero congestion gradient yields λ₂ = 0 (nothing to push).
 func (m *Model) Lambda2(wlGradL1 float64, st Stats) float64 {
-	n := 0
-	for ci := range m.d.Cells {
-		if m.d.Cells[ci].Movable() {
-			n++
-		}
-	}
-	if n == 0 || st.GradL1 == 0 {
+	if m.movable == 0 || st.GradL1 == 0 {
 		return 0
 	}
-	return (2 * float64(st.CongestedCell) / float64(n)) * (wlGradL1 / st.GradL1)
+	return (2 * float64(st.CongestedCell) / float64(m.movable)) * (wlGradL1 / st.GradL1)
 }

@@ -44,6 +44,25 @@ func TestPlaceWirelengthMode(t *testing.T) {
 	}
 }
 
+// TestSeededVariantLegalizes places a seeded des_perf_1 variant whose
+// global placement leaves more cells around one spot than the default
+// legalizer row window holds; the widened row search must still place
+// every cell legally.
+func TestSeededVariantLegalizes(t *testing.T) {
+	p := synth.Catalog()["des_perf_1"]
+	p.Name = "des_perf_1_s3"
+	d, err := synth.FromParams(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Place(d, Options{Mode: ModeOurs, Tech: AllTechniques(), Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := legalize.CheckLegal(d); err != nil {
+		t.Errorf("final placement not legal: %v", err)
+	}
+}
+
 func TestPlaceReducesHPWLFromScatter(t *testing.T) {
 	d := synth.MustGenerate("tiny_open")
 	before := d.HPWL() // scattered positions from the generator

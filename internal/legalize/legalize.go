@@ -45,7 +45,9 @@ type row struct {
 
 // Legalizer legalizes one design.
 type Legalizer struct {
-	// MaxRowSearch bounds how many rows above/below the ideal row are tried.
+	// MaxRowSearch bounds how many rows above/below the ideal row are tried
+	// first. When none of them has room for a cell, the window doubles
+	// until it spans the whole die.
 	MaxRowSearch int
 	// Trace, when non-nil, receives spans for the sort and Abacus scan
 	// phases.
@@ -131,29 +133,12 @@ func (l *Legalizer) RunContext(ctx context.Context) (totalDisp, maxDisp float64,
 			return totalDisp, maxDisp, err
 		}
 		c := &d.Cells[ci]
-		bestCost := math.Inf(1)
-		bestRow, bestSeg := -1, -1
 		ideal := int((c.Y - d.RowHeight/2 - d.Die.Lo.Y) / d.RowHeight)
-		for dr := 0; dr <= l.MaxRowSearch; dr++ {
-			for _, r := range []int{ideal - dr, ideal + dr} {
-				if dr == 0 && r != ideal {
-					continue
-				}
-				if r < 0 || r >= len(l.rows) {
-					continue
-				}
-				// Prune: even a perfect x placement cannot beat bestCost if
-				// the row's y displacement alone exceeds it.
-				dy := l.rows[r].y + d.RowHeight/2 - c.Y
-				if dy*dy >= bestCost {
-					continue
-				}
-				si, cost := l.trialRow(r, ci)
-				if si >= 0 && cost < bestCost {
-					bestCost = cost
-					bestRow, bestSeg = r, si
-				}
-			}
+		bestRow, bestSeg := l.search(ci, ideal, 0, l.MaxRowSearch)
+		// No room in the window: double it until it spans the whole die.
+		reach := max(ideal, len(l.rows)-1-ideal)
+		for w := l.MaxRowSearch; bestRow < 0 && w < reach; w = max(2*w, 1) {
+			bestRow, bestSeg = l.search(ci, ideal, w+1, max(2*w, 1))
 		}
 		if bestRow < 0 {
 			return totalDisp, maxDisp, fmt.Errorf("legalize: no room for cell %d (%s, w=%v)", ci, c.Name, c.W)
@@ -167,6 +152,37 @@ func (l *Legalizer) RunContext(ctx context.Context) (totalDisp, maxDisp float64,
 		}
 	}
 	return totalDisp, maxDisp, nil
+}
+
+// search tries the rows ideal±dr for dr in [lo, hi] and returns the
+// cheapest row and segment with room for cell ci, or (-1, -1).
+func (l *Legalizer) search(ci, ideal, lo, hi int) (bestRow, bestSeg int) {
+	d := l.d
+	c := &d.Cells[ci]
+	bestCost := math.Inf(1)
+	bestRow, bestSeg = -1, -1
+	for dr := lo; dr <= hi; dr++ {
+		for _, r := range [2]int{ideal - dr, ideal + dr} {
+			if dr == 0 && r != ideal {
+				continue
+			}
+			if r < 0 || r >= len(l.rows) {
+				continue
+			}
+			// Prune: even a perfect x placement cannot beat bestCost if
+			// the row's y displacement alone exceeds it.
+			dy := l.rows[r].y + d.RowHeight/2 - c.Y
+			if dy*dy >= bestCost {
+				continue
+			}
+			si, cost := l.trialRow(r, ci)
+			if si >= 0 && cost < bestCost {
+				bestCost = cost
+				bestRow, bestSeg = r, si
+			}
+		}
+	}
+	return bestRow, bestSeg
 }
 
 // trialRow finds the best segment in row r for cell ci and returns its index

@@ -99,6 +99,32 @@ func TestLegalizeErrorsWhenOverfull(t *testing.T) {
 	}
 }
 
+func TestLegalizeWidensRowSearch(t *testing.T) {
+	// 30 rows of 64 sites; 80 cells of width 8 all want row 0. The default
+	// window (rows 0..6) holds 56 of them, so the rest must go further up.
+	b := netlist.NewBuilder("tall", geom.NewRect(0, 0, 64, 240), 8, 1)
+	for i := 0; i < 80; i++ {
+		b.AddCell("c", netlist.StdCell, 32, 4, 8, 8)
+	}
+	n := b.AddNet("n", 1)
+	b.Connect(0, n, 0, 0)
+	b.Connect(1, n, 0, 0)
+	d := b.MustBuild()
+	if _, _, err := New(d).Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if err := CheckLegal(d); err != nil {
+		t.Fatalf("not legal: %v", err)
+	}
+	top := 0.0
+	for i := range d.Cells {
+		top = max(top, d.Cells[i].Y)
+	}
+	if want := 9*8 + 4.0; top != want {
+		t.Errorf("highest cell center at y=%v, want %v (row 9, the tenth row)", top, want)
+	}
+}
+
 func TestCheckLegalCatchesViolations(t *testing.T) {
 	mk := func() *netlist.Design {
 		b := netlist.NewBuilder("v", geom.NewRect(0, 0, 64, 64), 8, 1)
